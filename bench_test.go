@@ -8,7 +8,6 @@ package subseq_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -23,7 +22,9 @@ import (
 	"repro/internal/metric"
 	"repro/internal/refnet"
 	"repro/internal/seq"
+	"repro/internal/serve"
 	"repro/internal/shard"
+	"repro/registry"
 )
 
 // sinkRows prevents the compiler from discarding experiment results.
@@ -612,7 +613,7 @@ func BenchmarkStoreAppend(b *testing.B) {
 
 // BenchmarkGatewayHotQuery prices the gateway result cache on its
 // design workload: one hot findall query hammered through a two-shard
-// fleet. With the cache off every request scatters to the shards and
+// fleet of real serve handlers. With the cache off every request scatters to the shards and
 // recomputes the query; with it on, every request after the first is a
 // canonical-key cache hit served from gateway memory. The ratio of the
 // two sub-benchmarks is the hit-path latency reduction (the acceptance
@@ -630,28 +631,14 @@ func BenchmarkGatewayHotQuery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mt := st.Matcher()
-		mux := http.NewServeMux()
-		mux.HandleFunc("POST /query/findall", func(w http.ResponseWriter, r *http.Request) {
-			var req struct {
-				Query string  `json:"query"`
-				Eps   float64 `json:"eps"`
-			}
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				w.WriteHeader(http.StatusBadRequest)
-				return
-			}
-			ms := mt.FindAll(seq.Sequence[byte](req.Query), req.Eps)
-			out := shard.MatchesResponse{Count: len(ms), Matches: make([]shard.Match, len(ms))}
-			for i, m := range ms {
-				out.Matches[i] = shard.Match{
-					SeqID: m.SeqID + lo, QStart: m.QStart, QEnd: m.QEnd,
-					XStart: m.XStart, XEnd: m.XEnd, Dist: m.Dist,
-				}
-			}
-			json.NewEncoder(w).Encode(out)
-		})
-		ts := httptest.NewServer(mux)
+		srv, err := serve.New(st, registry.ServerSpec{SessionSpec: registry.SessionSpec{
+			Dataset: "proteins", Measure: "levenshtein-fast", ShardLo: lo, ShardHi: hi,
+		}}, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(srv.Close)
+		ts := httptest.NewServer(srv.Handler())
 		b.Cleanup(ts.Close)
 		return ts
 	}

@@ -7,19 +7,16 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/seq"
+	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/store"
 	"repro/registry"
@@ -29,13 +26,10 @@ import (
 // measure × backend, resolved by the registry exactly as the query
 // subcommand resolves it) is built once at startup — or restored from a
 // snapshot in seconds with -restore — and wrapped in a live store
-// (internal/store); every request is then streamed through a QueryPool's
-// Submit API, so concurrent requests coalesce into shared index
-// traversals and a slow client cannot queue unbounded work (the pool's
-// in-flight budget is the backpressure). The admin surface mutates the
-// store while queries run: POST /admin/append, /admin/retire and
-// /admin/snapshot, with in-flight query claims draining before each
-// mutation. docs/SERVING.md covers the query API; docs/PERSISTENCE.md
+// (internal/store), which internal/serve answers over HTTP. This file
+// holds the process around it: flag and session-list parsing, the
+// restore-or-build decision, multi-session routing and graceful
+// shutdown. docs/SERVING.md covers the query API; docs/PERSISTENCE.md
 // covers the lifecycle and snapshot format.
 
 func cmdServe(args []string) {
@@ -76,15 +70,11 @@ func cmdServe(args []string) {
 	if (*config != "" || len(sessions) > 0) && !flagWasSet(fs, "addr") {
 		listenAddr = registry.ListenAddr(specs)
 	}
-	type running struct {
-		name string
-		s    session
-		qs   queryServer
-	}
-	servers := make([]running, 0, len(specs))
+	servers := make([]mountedSession, 0, len(specs))
+	descs := make([]string, 0, len(specs))
 	defer func() {
 		for _, rs := range servers {
-			rs.qs.close()
+			rs.qs.Close()
 		}
 	}()
 	for _, sp := range specs {
@@ -96,31 +86,26 @@ func cmdServe(args []string) {
 		if err != nil {
 			fail(fmt.Errorf("session %q: %w", sp.MountName(), err))
 		}
-		servers = append(servers, running{name: sp.MountName(), s: s, qs: qs})
+		servers = append(servers, mountedSession{name: sp.MountName(), qs: qs})
+		descs = append(descs, s.describe())
 	}
-	mounts := make([]mountedSession, len(servers))
-	for i, rs := range servers {
-		mounts[i] = mountedSession{name: rs.name, qs: rs.qs}
-	}
-	root := multiSessionMux(mounts)
+	root := multiSessionMux(servers)
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		fail(err)
 	}
 	// The bound address is printed and echoed on /stats (not the requested
 	// one) so scripts may listen on :0 and scrape the port.
-	for _, rs := range servers {
-		rs.qs.setAddr(ln.Addr().String())
-	}
-	for _, rs := range servers {
-		if rs.qs.wasRestored() {
-			fmt.Printf("subseqctl: session %q restored %d windows without re-indexing\n", rs.name, rs.qs.numWindows())
+	for i, rs := range servers {
+		rs.qs.SetAddr(ln.Addr().String())
+		if rs.qs.Restored() {
+			fmt.Printf("subseqctl: session %q restored %d windows without re-indexing\n", rs.name, rs.qs.NumWindows())
 		}
 		if len(servers) > 1 {
-			fmt.Printf("subseqctl: session %q (%s) at /s/%s/\n", rs.name, rs.s.describe(), rs.name)
+			fmt.Printf("subseqctl: session %q (%s) at /s/%s/\n", rs.name, descs[i], rs.name)
 		}
 	}
-	fmt.Printf("subseqctl: serving %s on http://%s\n", servers[0].s.describe(), ln.Addr())
+	fmt.Printf("subseqctl: serving %s on http://%s\n", descs[0], ln.Addr())
 	hs := &http.Server{Handler: root}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -141,7 +126,7 @@ func cmdServe(args []string) {
 	if *snapOnTerm != "" {
 		// Requests have drained; the store is quiescent. Snapshot it so the
 		// next start can -restore instead of re-indexing.
-		if err := servers[0].qs.snapshot(*snapOnTerm); err != nil {
+		if err := servers[0].qs.Snapshot(*snapOnTerm); err != nil {
 			fail(err)
 		}
 		fmt.Printf("subseqctl: snapshot written to %s\n", *snapOnTerm)
@@ -171,15 +156,15 @@ type mountedSession struct {
 func multiSessionMux(servers []mountedSession) *http.ServeMux {
 	root := http.NewServeMux()
 	for _, rs := range servers {
-		root.Handle("/s/"+rs.name+"/", http.StripPrefix("/s/"+rs.name, rs.qs.handler()))
+		root.Handle("/s/"+rs.name+"/", http.StripPrefix("/s/"+rs.name, rs.qs.Handler()))
 	}
-	root.Handle("/", servers[0].qs.handler())
+	root.Handle("/", servers[0].qs.Handler())
 	root.HandleFunc("GET /sessions", func(w http.ResponseWriter, r *http.Request) {
 		out := make([]sessionListing, len(servers))
 		for i, rs := range servers {
-			out[i] = sessionListing{Name: rs.name, Path: "/s/" + rs.name + "/", Config: rs.qs.config()}
+			out[i] = sessionListing{Name: rs.name, Path: "/s/" + rs.name + "/", Config: rs.qs.Config()}
 		}
-		writeJSON(w, http.StatusOK, out)
+		shard.WriteJSON(w, http.StatusOK, out)
 	})
 	return root
 }
@@ -307,778 +292,47 @@ func parseSessionFlag(s string) (registry.ServerSpec, error) {
 	return spec, nil
 }
 
-// queryServer is the untyped face of a typedServer, mirroring how session
-// hides typedSession's element type from the subcommands.
+// queryServer is the untyped face of a serve.Server, mirroring how
+// session hides typedSession's element type from the subcommands.
 type queryServer interface {
-	handler() http.Handler
-	config() registry.ServerConfig
-	// setAddr records the address the listener actually bound (it differs
-	// from the requested one under -addr :0), so /stats echoes a usable
-	// address. Call before serving requests.
-	setAddr(addr string)
-	numWindows() int
-	// wasRestored reports whether the store actually restored from the
-	// -restore snapshot (false when a corrupt snapshot was quarantined
-	// and the index rebuilt instead).
-	wasRestored() bool
-	// snapshot writes the store to path atomically (temp file + rename).
-	snapshot(path string) error
-	close()
+	Handler() http.Handler
+	Config() registry.ServerConfig
+	SetAddr(addr string)
+	NumWindows() int
+	Restored() bool
+	Snapshot(path string) error
+	Close()
 }
 
-// typedServer owns the long-lived serving state: the live store, the
-// streaming pool resolving it through the store's view guard, and the
-// resolved configuration it echoes on /stats.
-type typedServer[E any] struct {
-	sess     *typedSession[E]
-	cfg      registry.ServerConfig
-	st       *store.Store[E]
-	pool     *core.QueryPool[E]
-	mux      *http.ServeMux
-	start    time.Time
-	restored bool
-	// seqBase re-bases wire-level sequence IDs when this process serves
-	// one shard of a logical index (spec.ShardLo): the store numbers its
-	// local slice from 0, the wire reports global IDs, so a gateway can
-	// merge shard answers without remapping (see internal/shard).
-	seqBase int
-	// reqTimeout bounds each query request end to end (0: none); sched is
-	// the background snapshot loop (nil unless -snapshot-interval is set).
-	reqTimeout time.Duration
-	sched      *store.Scheduler
-	// sweepStop ends the TTL sweeper goroutine at close.
-	sweepStop chan struct{}
-	closeOnce sync.Once
-}
-
-// ttlSweepInterval is how often the serving store retires TTL-expired
-// sequences.
-const ttlSweepInterval = 30 * time.Second
-
+// newServer builds or restores the session's live store and serves it.
 func (s *typedSession[E]) newServer(spec registry.ServerSpec, restore string) (queryServer, error) {
-	cfg, err := spec.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	shed, err := core.ParseShedPolicy(cfg.Shed)
-	if err != nil {
-		return nil, err
-	}
-	var st *store.Store[E]
-	restored := false
-	if restore != "" {
-		// Restore path: decode the snapshot instead of indexing the
-		// generated dataset. The snapshot header is validated against the
-		// session spec first — a snapshot taken under different flags is
-		// refused with the disagreement explained. A snapshot whose bytes
-		// are corrupt (as opposed to mismatched) is quarantined and the
-		// index rebuilt, so one bad file never wedges a restart loop.
-		st, err = registry.OpenStoreFile[E](restore, s.spec)
-		var corrupt *store.CorruptError
-		switch {
-		case err == nil:
-			restored = true
-		case errors.As(err, &corrupt):
-			qpath, qerr := store.Quarantine(restore)
-			if qerr != nil {
-				return nil, fmt.Errorf("snapshot %s is corrupt (%v) and could not be quarantined: %w", restore, corrupt, qerr)
-			}
-			fmt.Fprintf(os.Stderr, "subseqctl: snapshot %s is corrupt (%v); quarantined to %s, rebuilding the index\n",
-				restore, corrupt, qpath)
-			st, err = s.store()
+	if restore == "" {
+		st, err := s.store()
+		if err != nil {
+			return nil, err
 		}
-	} else {
+		return serve.New(st, spec, false)
+	}
+	// Restore path: decode the snapshot instead of indexing the generated
+	// dataset. The snapshot header is validated against the session spec
+	// first — a snapshot taken under different flags is refused with the
+	// disagreement explained. A snapshot whose bytes are corrupt (as
+	// opposed to mismatched) is quarantined and the index rebuilt, so one
+	// bad file never wedges a restart loop.
+	st, err := registry.OpenStoreFile[E](restore, s.spec)
+	restored := err == nil
+	var corrupt *store.CorruptError
+	if errors.As(err, &corrupt) {
+		qpath, qerr := store.Quarantine(restore)
+		if qerr != nil {
+			return nil, fmt.Errorf("snapshot %s is corrupt (%v) and could not be quarantined: %w", restore, corrupt, qerr)
+		}
+		fmt.Fprintf(os.Stderr, "subseqctl: snapshot %s is corrupt (%v); quarantined to %s, rebuilding the index\n",
+			restore, corrupt, qpath)
 		st, err = s.store()
 	}
 	if err != nil {
 		return nil, err
 	}
-	srv := &typedServer[E]{
-		sess: s, cfg: cfg, st: st,
-		pool:       st.NewQueryPool(cfg.Workers, core.WithQueueDepth(cfg.QueueDepth), core.WithShedPolicy(shed)),
-		start:      time.Now(),
-		restored:   restored,
-		seqBase:    spec.ShardLo,
-		reqTimeout: spec.RequestTimeout,
-		sweepStop:  make(chan struct{}),
-	}
-	if spec.SnapshotInterval > 0 {
-		srv.sched, err = st.ScheduleSnapshots(spec.SnapshotPath, spec.SnapshotInterval,
-			store.WithSnapshotOnError(func(err error) {
-				fmt.Fprintf(os.Stderr, "subseqctl: background snapshot: %v\n", err)
-			}))
-		if err != nil {
-			return nil, err
-		}
-	}
-	go func() {
-		t := time.NewTicker(ttlSweepInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-srv.sweepStop:
-				return
-			case <-t.C:
-				srv.st.Sweep()
-			}
-		}
-	}()
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query/findall", srv.handleFindAll)
-	mux.HandleFunc("POST /query/longest", srv.handleLongest)
-	mux.HandleFunc("POST /query/nearest", srv.handleNearest)
-	mux.HandleFunc("POST /query/filter", srv.handleFilter)
-	mux.HandleFunc("POST /query/batch", srv.handleBatch)
-	mux.HandleFunc("POST /admin/append", srv.handleAppend)
-	mux.HandleFunc("POST /admin/retire", srv.handleRetire)
-	mux.HandleFunc("POST /admin/snapshot", srv.handleSnapshot)
-	mux.HandleFunc("GET /stats", srv.handleStats)
-	mux.HandleFunc("GET /healthz", srv.handleHealthz)
-	srv.mux = mux
-	return srv, nil
-}
-
-func (srv *typedServer[E]) handler() http.Handler         { return srv.mux }
-func (srv *typedServer[E]) config() registry.ServerConfig { return srv.cfg }
-func (srv *typedServer[E]) setAddr(addr string)           { srv.cfg.Addr = addr }
-func (srv *typedServer[E]) numWindows() int               { return srv.st.Matcher().NumWindows() }
-func (srv *typedServer[E]) wasRestored() bool             { return srv.restored }
-func (srv *typedServer[E]) snapshot(path string) error    { return srv.st.SnapshotFile(path) }
-func (srv *typedServer[E]) close() {
-	srv.closeOnce.Do(func() {
-		close(srv.sweepStop)
-		if srv.sched != nil {
-			srv.sched.Stop()
-		}
-		srv.pool.Close()
-	})
-}
-
-// --- Wire formats (documented in docs/SERVING.md) ---
-
-// queryRequest is the body of every /query/* POST. Query's encoding
-// depends on the dataset's element type: a JSON string for byte datasets,
-// an array of numbers for float64, an array of [x, y] pairs for point2.
-type queryRequest struct {
-	Query json.RawMessage `json:"query"`
-	// Eps is the query radius (findall, longest, filter).
-	Eps *float64 `json:"eps"`
-	// EpsMax/EpsInc tune nearest (Type III); eps_inc defaults to
-	// eps_max/16.
-	EpsMax *float64 `json:"eps_max"`
-	EpsInc *float64 `json:"eps_inc"`
-}
-
-// wireMatch is core.Match with stable JSON names.
-type wireMatch struct {
-	SeqID  int     `json:"seq_id"`
-	QStart int     `json:"q_start"`
-	QEnd   int     `json:"q_end"`
-	XStart int     `json:"x_start"`
-	XEnd   int     `json:"x_end"`
-	Dist   float64 `json:"dist"`
-}
-
-func toWireMatch(m core.Match) wireMatch {
-	return wireMatch{SeqID: m.SeqID, QStart: m.QStart, QEnd: m.QEnd, XStart: m.XStart, XEnd: m.XEnd, Dist: m.Dist}
-}
-
-// wireMatch converts a store-local match to the wire, re-basing the
-// sequence ID into the global numbering when this process is a shard.
-func (srv *typedServer[E]) wireMatch(m core.Match) wireMatch {
-	wm := toWireMatch(m)
-	wm.SeqID += srv.seqBase
-	return wm
-}
-
-// wireHit converts a store-local filter hit to the wire, re-based like
-// wireMatch.
-func (srv *typedServer[E]) wireHit(h core.Hit[E]) wireHit {
-	return wireHit{
-		SeqID: h.Window.SeqID + srv.seqBase, WindowStart: h.Window.Start, WindowEnd: h.Window.End(),
-		SegStart: h.Segment.Start, SegEnd: h.Segment.End(),
-	}
-}
-
-// shardMatch is wireMatch's twin for the batch endpoint, which speaks the
-// shard package's wire envelopes (identical JSON, shared with the gateway).
-func (srv *typedServer[E]) shardMatch(m core.Match) shard.Match {
-	return shard.Match{
-		SeqID: m.SeqID + srv.seqBase, QStart: m.QStart, QEnd: m.QEnd,
-		XStart: m.XStart, XEnd: m.XEnd, Dist: m.Dist,
-	}
-}
-
-func (srv *typedServer[E]) shardHit(h core.Hit[E]) shard.Hit {
-	return shard.Hit{
-		SeqID: h.Window.SeqID + srv.seqBase, WindowStart: h.Window.Start, WindowEnd: h.Window.End(),
-		SegStart: h.Segment.Start, SegEnd: h.Segment.End(),
-	}
-}
-
-// wireHit is one filtered segment↔window pair.
-type wireHit struct {
-	SeqID       int `json:"seq_id"`
-	WindowStart int `json:"window_start"`
-	WindowEnd   int `json:"window_end"`
-	SegStart    int `json:"segment_start"`
-	SegEnd      int `json:"segment_end"`
-}
-
-type matchesResponse struct {
-	Count   int         `json:"count"`
-	Matches []wireMatch `json:"matches"`
-}
-
-type bestResponse struct {
-	Found bool       `json:"found"`
-	Match *wireMatch `json:"match,omitempty"`
-}
-
-type hitsResponse struct {
-	Count int       `json:"count"`
-	Hits  []wireHit `json:"hits"`
-}
-
-type statsResponse struct {
-	Config        registry.ServerConfig `json:"config"`
-	UptimeSeconds float64               `json:"uptime_seconds"`
-	NumWindows    int                   `json:"num_windows"`
-	// DistanceCalls surfaces the matcher's striped distance-call tallies:
-	// the paper's hardware-independent cost accounting, live.
-	DistanceCalls struct {
-		Build  int64 `json:"build"`
-		Filter int64 `json:"filter"`
-		Verify int64 `json:"verify"`
-	} `json:"distance_calls"`
-	Stream core.StreamStats `json:"stream"`
-	// Batch tallies the batched-engine entry points: how many
-	// FilterHitsBatch calls ran (every batch kind funnels through it) and
-	// how many queries they carried. Queries/Calls is the amortisation
-	// ratio the batch endpoint exists to raise.
-	Batch struct {
-		Calls   int64 `json:"calls"`
-		Queries int64 `json:"queries"`
-	} `json:"batch"`
-	// Snapshots is the background snapshot scheduler's health; absent
-	// unless -snapshot-interval is set.
-	Snapshots *store.SchedulerStats `json:"snapshots,omitempty"`
-	// Store is the live-store census: allocated sequence IDs, live
-	// (non-retired) sequences, pending TTLs, and whether this process
-	// restored from a snapshot instead of indexing.
-	Store struct {
-		Sequences int  `json:"sequences"`
-		Live      int  `json:"live"`
-		TTLs      int  `json:"ttls"`
-		Restored  bool `json:"restored"`
-	} `json:"store"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error()})
-}
-
-// maxRequestBytes caps a /query/* request body. The streaming engine's
-// queue depth bounds in-flight queries; this bounds what any single
-// request may allocate before it even becomes one.
-const maxRequestBytes = 8 << 20
-
-// decodeQuery parses the request body and its element-typed query payload.
-func (srv *typedServer[E]) decodeQuery(w http.ResponseWriter, r *http.Request) (queryRequest, seq.Sequence[E], error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err != nil {
-		return queryRequest{}, nil, fmt.Errorf("reading request body: %w", err)
-	}
-	return parseQueryRequest[E](body)
-}
-
-// parseQueryRequest is decodeQuery without the HTTP plumbing: the whole
-// untrusted-input surface of a /query/* request in one pure function, so
-// it can be fuzzed directly (FuzzParseQueryRequest). It must never panic;
-// any malformed body must come back as an error.
-func parseQueryRequest[E any](body []byte) (queryRequest, seq.Sequence[E], error) {
-	var req queryRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, nil, fmt.Errorf("invalid request body: %w", err)
-	}
-	if len(req.Query) == 0 {
-		return req, nil, errors.New(`missing "query"`)
-	}
-	q, err := decodeSeq[E](req.Query)
-	if err != nil {
-		return req, nil, err
-	}
-	return req, q, nil
-}
-
-// decodeSeq decodes a query sequence from its element-typed JSON encoding:
-// a string for byte, an array of numbers for float64, an array of [x, y]
-// pairs for point2 — matching how the dataset families are described in
-// `subseqctl list`.
-func decodeSeq[E any](raw json.RawMessage) (seq.Sequence[E], error) {
-	// json.Unmarshal treats null as a no-op for every target type here, so
-	// without this guard a null query would decode into a nil sequence
-	// with no error (found by FuzzParseQueryRequest).
-	if string(raw) == "null" {
-		return nil, errors.New(`"query" must not be null`)
-	}
-	switch any((*E)(nil)).(type) {
-	case *byte:
-		var s string
-		if err := json.Unmarshal(raw, &s); err != nil {
-			return nil, fmt.Errorf(`"query" must be a JSON string for byte datasets: %w`, err)
-		}
-		return any(seq.Sequence[byte](s)).(seq.Sequence[E]), nil
-	case *float64:
-		var v []float64
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return nil, fmt.Errorf(`"query" must be a JSON array of numbers for float64 datasets: %w`, err)
-		}
-		return any(seq.Sequence[float64](v)).(seq.Sequence[E]), nil
-	case *seq.Point2:
-		var v [][2]float64
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return nil, fmt.Errorf(`"query" must be a JSON array of [x, y] pairs for point2 datasets: %w`, err)
-		}
-		pts := make(seq.Sequence[seq.Point2], len(v))
-		for i, p := range v {
-			pts[i] = seq.Point2{X: p[0], Y: p[1]}
-		}
-		return any(pts).(seq.Sequence[E]), nil
-	default:
-		return nil, fmt.Errorf("unsupported element type %T", *new(E))
-	}
-}
-
-// needEps validates the radius shared by findall, longest and filter.
-func needEps(req queryRequest) (float64, error) {
-	if req.Eps == nil {
-		return 0, errors.New(`missing "eps"`)
-	}
-	if *req.Eps < 0 {
-		return 0, errors.New(`"eps" must be >= 0`)
-	}
-	return *req.Eps, nil
-}
-
-// submitErrStatus maps a streaming-submission error to an HTTP status,
-// the contract documented in docs/SERVING.md ("Operating under load"):
-// shed queries are 429 Too Many Requests, deadline-expired queries 504
-// Gateway Timeout, client-abandoned contexts 499 (the de-facto "client
-// closed request"), a closed pool 503 Service Unavailable, and a crashed
-// worker 500.
-func submitErrStatus(err error) int {
-	switch {
-	case errors.Is(err, core.ErrQueueFull):
-		return http.StatusTooManyRequests
-	case errors.Is(err, core.ErrDeadlineExceeded), errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return 499
-	case errors.Is(err, core.ErrPoolClosed):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-// writeSubmitErr maps err through submitErrStatus; retryable statuses
-// (429, 503) carry a Retry-After so well-behaved clients back off instead
-// of hammering a saturated queue.
-func writeSubmitErr(w http.ResponseWriter, err error) {
-	status := submitErrStatus(err)
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
-	}
-	writeErr(w, status, err)
-}
-
-// submitOpts assembles the per-request admission metadata: the request
-// context (bounded by -request-timeout when set), a matching submission
-// deadline so expired queries are dropped before a worker prices them,
-// and the tenant attribution from the X-Tenant header (for the fair-share
-// shed policy). The cancel func must be deferred by the caller.
-func (srv *typedServer[E]) submitOpts(r *http.Request) (context.Context, context.CancelFunc, []core.SubmitOption) {
-	ctx := r.Context()
-	cancel := func() {}
-	var opts []core.SubmitOption
-	if srv.reqTimeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, srv.reqTimeout)
-		opts = append(opts, core.WithSubmitTimeout(srv.reqTimeout))
-	}
-	if tenant := r.Header.Get("X-Tenant"); tenant != "" {
-		opts = append(opts, core.WithTenant(tenant))
-	}
-	return ctx, cancel, opts
-}
-
-func (srv *typedServer[E]) handleFindAll(w http.ResponseWriter, r *http.Request) {
-	req, q, err := srv.decodeQuery(w, r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	eps, err := needEps(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel, sopts := srv.submitOpts(r)
-	defer cancel()
-	ms, err := srv.pool.Submit(ctx, q, eps, sopts...).Await(ctx)
-	if err != nil {
-		writeSubmitErr(w, err)
-		return
-	}
-	resp := matchesResponse{Count: len(ms), Matches: make([]wireMatch, len(ms))}
-	for i, m := range ms {
-		resp.Matches[i] = srv.wireMatch(m)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (srv *typedServer[E]) handleLongest(w http.ResponseWriter, r *http.Request) {
-	req, q, err := srv.decodeQuery(w, r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	eps, err := needEps(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel, sopts := srv.submitOpts(r)
-	defer cancel()
-	res, err := srv.pool.SubmitLongest(ctx, q, eps, sopts...).Await(ctx)
-	if err != nil {
-		writeSubmitErr(w, err)
-		return
-	}
-	resp := bestResponse{Found: res.Found}
-	if res.Found {
-		m := srv.wireMatch(res.Match)
-		resp.Match = &m
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (srv *typedServer[E]) handleNearest(w http.ResponseWriter, r *http.Request) {
-	req, q, err := srv.decodeQuery(w, r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.EpsMax == nil || *req.EpsMax <= 0 {
-		writeErr(w, http.StatusBadRequest, errors.New(`nearest requires "eps_max" > 0`))
-		return
-	}
-	opts := core.NearestOptions{EpsMax: *req.EpsMax, EpsInc: *req.EpsMax / 16}
-	if req.EpsInc != nil {
-		opts.EpsInc = *req.EpsInc
-	}
-	if opts.EpsInc <= 0 {
-		writeErr(w, http.StatusBadRequest, errors.New(`"eps_inc" must be > 0`))
-		return
-	}
-	ctx, cancel, sopts := srv.submitOpts(r)
-	defer cancel()
-	res, err := srv.pool.SubmitNearest(ctx, q, opts, sopts...).Await(ctx)
-	if err != nil {
-		writeSubmitErr(w, err)
-		return
-	}
-	resp := bestResponse{Found: res.Found}
-	if res.Found {
-		m := srv.wireMatch(res.Match)
-		resp.Match = &m
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (srv *typedServer[E]) handleFilter(w http.ResponseWriter, r *http.Request) {
-	req, q, err := srv.decodeQuery(w, r)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	eps, err := needEps(req)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	ctx, cancel, sopts := srv.submitOpts(r)
-	defer cancel()
-	hits, err := srv.pool.SubmitFilter(ctx, q, eps, sopts...).Await(ctx)
-	if err != nil {
-		writeSubmitErr(w, err)
-		return
-	}
-	resp := hitsResponse{Count: len(hits), Hits: make([]wireHit, len(hits))}
-	for i, h := range hits {
-		resp.Hits[i] = srv.wireHit(h)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleBatch answers POST /query/batch: many queries of one kind in one
-// request, fed to the matcher's batched entry points so they share index
-// traversals (Section 7's many-queries-one-traversal path). Batches
-// deliberately bypass the streaming pool — the pool's coalescing would
-// re-chunk the batch, and the request already is the batch — and instead
-// pin the store's current matcher through its view guard for the call.
-func (srv *typedServer[E]) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req shard.BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
-		return
-	}
-	if !shard.ValidBatchKind(req.Kind) {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf(`"kind" must be findall, longest or filter, got %q`, req.Kind))
-		return
-	}
-	if len(req.Queries) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New(`"queries" must not be empty`))
-		return
-	}
-	if req.Eps == nil {
-		writeErr(w, http.StatusBadRequest, errors.New(`missing "eps"`))
-		return
-	}
-	if *req.Eps < 0 {
-		writeErr(w, http.StatusBadRequest, errors.New(`"eps" must be >= 0`))
-		return
-	}
-	qs := make([]seq.Sequence[E], len(req.Queries))
-	for i, raw := range req.Queries {
-		q, err := decodeSeq[E](raw)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
-			return
-		}
-		qs[i] = q
-	}
-	mt, release := srv.st.View()
-	defer release()
-	resp := shard.BatchResponse{Kind: req.Kind, Count: len(qs)}
-	switch req.Kind {
-	case "findall":
-		per := mt.FindAllBatch(qs, *req.Eps)
-		resp.Matches = make([][]shard.Match, len(per))
-		for i, ms := range per {
-			out := make([]shard.Match, len(ms))
-			for j, m := range ms {
-				out[j] = srv.shardMatch(m)
-			}
-			resp.Matches[i] = out
-		}
-	case "longest":
-		ms, found := mt.LongestBatch(qs, *req.Eps)
-		resp.Best = make([]shard.BestResult, len(ms))
-		for i := range ms {
-			if found[i] {
-				m := srv.shardMatch(ms[i])
-				resp.Best[i] = shard.BestResult{Found: true, Match: &m}
-			}
-		}
-	case "filter":
-		per := mt.FilterHitsBatch(qs, *req.Eps)
-		resp.Hits = make([][]shard.Hit, len(per))
-		for i, hs := range per {
-			out := make([]shard.Hit, len(hs))
-			for j, h := range hs {
-				out[j] = srv.shardHit(h)
-			}
-			resp.Hits[i] = out
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (srv *typedServer[E]) handleStats(w http.ResponseWriter, r *http.Request) {
-	// The atomic matcher peek: stats must not queue behind a mutation
-	// holding the store's write lock.
-	mt := srv.st.Matcher()
-	resp := statsResponse{
-		Config:        srv.cfg,
-		UptimeSeconds: time.Since(srv.start).Seconds(),
-		NumWindows:    mt.NumWindows(),
-		Stream:        srv.pool.StreamStats(),
-	}
-	resp.DistanceCalls.Build = mt.BuildDistanceCalls()
-	resp.DistanceCalls.Filter = mt.FilterDistanceCalls()
-	resp.DistanceCalls.Verify = mt.VerifyDistanceCalls()
-	resp.Batch.Calls = mt.BatchCalls()
-	resp.Batch.Queries = mt.BatchQueries()
-	if srv.sched != nil {
-		ss := srv.sched.Stats()
-		resp.Snapshots = &ss
-	}
-	ids, live := srv.st.Len()
-	resp.Store.Sequences = ids
-	resp.Store.Live = live
-	resp.Store.TTLs = len(srv.st.Expiries())
-	resp.Store.Restored = srv.restored
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (srv *typedServer[E]) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true, "num_windows": srv.st.Matcher().NumWindows()})
-}
-
-// --- Admin surface (POST /admin/*): mutate the live store while queries
-// run. Each mutation takes the store's write lock, so it waits only for
-// query claims already in flight; docs/PERSISTENCE.md documents the
-// consistency model. ---
-
-// appendRequest is the body of POST /admin/append. Sequence uses the
-// same element-typed encoding as queries.
-type appendRequest struct {
-	Sequence json.RawMessage `json:"sequence"`
-	// TTLSeconds schedules the sequence for retirement after this many
-	// seconds (0 or absent: no TTL).
-	TTLSeconds float64 `json:"ttl_seconds,omitempty"`
-}
-
-type appendResponse struct {
-	SeqID         int `json:"seq_id"`
-	WindowsAdded  int `json:"windows_added"`
-	NumWindows    int `json:"num_windows"`
-	LiveSequences int `json:"live_sequences"`
-}
-
-func (srv *typedServer[E]) handleAppend(w http.ResponseWriter, r *http.Request) {
-	var req appendRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
-		return
-	}
-	if len(req.Sequence) == 0 {
-		writeErr(w, http.StatusBadRequest, errors.New(`missing "sequence"`))
-		return
-	}
-	if req.TTLSeconds < 0 {
-		writeErr(w, http.StatusBadRequest, errors.New(`"ttl_seconds" must be >= 0`))
-		return
-	}
-	x, err := decodeSeq[E](req.Sequence)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	var opts []store.AppendOption
-	if req.TTLSeconds > 0 {
-		opts = append(opts, store.WithTTL(time.Duration(req.TTLSeconds*float64(time.Second))))
-	}
-	res, err := srv.st.Append(x, opts...)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	_, live := srv.st.Len()
-	writeJSON(w, http.StatusOK, appendResponse{
-		SeqID: res.SeqID + srv.seqBase, WindowsAdded: res.Windows,
-		NumWindows: srv.st.Matcher().NumWindows(), LiveSequences: live,
-	})
-}
-
-type retireRequest struct {
-	SeqID *int `json:"seq_id"`
-}
-
-type retireResponse struct {
-	SeqID          int `json:"seq_id"`
-	WindowsRemoved int `json:"windows_removed"`
-	NumWindows     int `json:"num_windows"`
-}
-
-func (srv *typedServer[E]) handleRetire(w http.ResponseWriter, r *http.Request) {
-	var req retireRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
-		return
-	}
-	if req.SeqID == nil {
-		writeErr(w, http.StatusBadRequest, errors.New(`missing "seq_id"`))
-		return
-	}
-	// The wire speaks global sequence IDs; the store numbers this shard's
-	// slice from 0.
-	local := *req.SeqID - srv.seqBase
-	if local < 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf(
-			"sequence %d is not owned by this shard (its range starts at %d)", *req.SeqID, srv.seqBase))
-		return
-	}
-	removed, err := srv.st.Retire(local)
-	switch {
-	case errors.Is(err, core.ErrRetireUnsupported):
-		// The backend cannot do it at all — a capability conflict, not a
-		// bad request.
-		writeErr(w, http.StatusConflict, err)
-		return
-	case err != nil:
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, retireResponse{
-		SeqID: *req.SeqID, WindowsRemoved: removed,
-		NumWindows: srv.st.Matcher().NumWindows(),
-	})
-}
-
-// snapshotRequest is the body of POST /admin/snapshot: the server-side
-// path to write (the daemon may not share a filesystem with the client,
-// so the snapshot lands next to the daemon, atomically).
-type snapshotRequest struct {
-	Path string `json:"path"`
-}
-
-type snapshotResponse struct {
-	Path  string `json:"path"`
-	Bytes int64  `json:"bytes"`
-}
-
-func (srv *typedServer[E]) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	var req snapshotRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
-		return
-	}
-	if req.Path == "" {
-		writeErr(w, http.StatusBadRequest, errors.New(`missing "path"`))
-		return
-	}
-	if err := srv.st.SnapshotFile(req.Path); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	info, err := os.Stat(req.Path)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, snapshotResponse{Path: req.Path, Bytes: info.Size()})
+	return serve.New(st, spec, restored)
 }

@@ -19,6 +19,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/serve"
+	"repro/internal/shard"
 	"repro/registry"
 )
 
@@ -35,9 +37,9 @@ func newTestServer(t *testing.T, dataset, measure, backend string) (*httptest.Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(qs.handler())
-	t.Cleanup(func() { ts.Close(); qs.close() })
-	return ts, qs.config()
+	ts := httptest.NewServer(qs.Handler())
+	t.Cleanup(func() { ts.Close(); qs.Close() })
+	return ts, qs.Config()
 }
 
 // newTestServerSpec is newTestServer over a caller-built ServerSpec, for
@@ -53,8 +55,8 @@ func newTestServerSpec(t *testing.T, spec registry.ServerSpec, restore string) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(qs.handler())
-	t.Cleanup(func() { ts.Close(); qs.close() })
+	ts := httptest.NewServer(qs.Handler())
+	t.Cleanup(func() { ts.Close(); qs.Close() })
 	return ts, qs
 }
 
@@ -109,7 +111,7 @@ func TestServeEndpointsByteDataset(t *testing.T) {
 	}
 	q := fmt.Sprintf("%q", ds.Sequences[0][:16])
 
-	var fa matchesResponse
+	var fa shard.MatchesResponse
 	if code := postJSON(t, ts, "/query/findall", `{"query":`+q+`,"eps":2}`, &fa); code != http.StatusOK {
 		t.Fatalf("findall status %d", code)
 	}
@@ -120,7 +122,7 @@ func TestServeEndpointsByteDataset(t *testing.T) {
 		t.Fatal("findall returned no matches for a verbatim database subsequence")
 	}
 
-	var lg bestResponse
+	var lg shard.BestResponse
 	if code := postJSON(t, ts, "/query/longest", `{"query":`+q+`,"eps":2}`, &lg); code != http.StatusOK {
 		t.Fatalf("longest status %d", code)
 	}
@@ -131,7 +133,7 @@ func TestServeEndpointsByteDataset(t *testing.T) {
 		t.Fatalf("longest returned empty span %+v", lg.Match)
 	}
 
-	var nr bestResponse
+	var nr shard.BestResponse
 	if code := postJSON(t, ts, "/query/nearest", `{"query":`+q+`,"eps_max":4}`, &nr); code != http.StatusOK {
 		t.Fatalf("nearest status %d", code)
 	}
@@ -139,7 +141,7 @@ func TestServeEndpointsByteDataset(t *testing.T) {
 		t.Fatal("nearest found nothing for a verbatim database subsequence")
 	}
 
-	var fl hitsResponse
+	var fl shard.HitsResponse
 	if code := postJSON(t, ts, "/query/filter", `{"query":`+q+`,"eps":2}`, &fl); code != http.StatusOK {
 		t.Fatalf("filter status %d", code)
 	}
@@ -156,21 +158,21 @@ func TestServeEndpointsByteDataset(t *testing.T) {
 // The float64 and point2 datasets decode their own query encodings.
 func TestServeElementTypedQueries(t *testing.T) {
 	ts, _ := newTestServer(t, "songs", "dfd", "refnet")
-	var fl hitsResponse
+	var fl shard.HitsResponse
 	if code := postJSON(t, ts, "/query/filter",
 		`{"query":[1,2,3,4,5,6,7,8,9,10,11,0,1,2],"eps":4}`, &fl); code != http.StatusOK {
 		t.Fatalf("songs filter status %d", code)
 	}
 
 	tp, _ := newTestServer(t, "traj", "erp", "refnet")
-	var fa matchesResponse
+	var fa shard.MatchesResponse
 	if code := postJSON(t, tp, "/query/findall",
 		`{"query":[[0,0],[1,1],[2,2],[3,3],[4,4],[5,5],[6,6],[7,7],[8,8],[9,9],[10,10],[11,11]],"eps":40}`,
 		&fa); code != http.StatusOK {
 		t.Fatalf("traj findall status %d", code)
 	}
 	// Wrong encoding for the element type is a 400, not a panic.
-	var er errorResponse
+	var er shard.ErrorResponse
 	if code := postJSON(t, tp, "/query/findall", `{"query":"ABC","eps":1}`, &er); code != http.StatusBadRequest {
 		t.Fatalf("mistyped query status %d, want 400", code)
 	}
@@ -192,7 +194,7 @@ func TestServeMatchesLibrary(t *testing.T) {
 	want := mt.FindAll(q, 5)
 
 	ts, _ := newTestServer(t, "proteins", "levenshtein-fast", "refnet")
-	var fa matchesResponse
+	var fa shard.MatchesResponse
 	if code := postJSON(t, ts, "/query/findall",
 		fmt.Sprintf(`{"query":%q,"eps":5}`, q), &fa); code != http.StatusOK {
 		t.Fatalf("findall status %d", code)
@@ -226,7 +228,7 @@ func TestServeRequestValidation(t *testing.T) {
 		{"/query/filter", `{"query":[1,2],"eps":1}`},                 // wrong element encoding
 	}
 	for _, c := range cases {
-		var er errorResponse
+		var er shard.ErrorResponse
 		if code := postJSON(t, ts, c.path, c.body, &er); code != http.StatusBadRequest {
 			t.Errorf("POST %s %s: status %d, want 400", c.path, c.body, code)
 		} else if er.Error == "" {
@@ -256,10 +258,10 @@ func TestServeStats(t *testing.T) {
 		t.Fatalf("healthz = %+v (status %d)", health, code)
 	}
 	for i := 0; i < 3; i++ {
-		var fa matchesResponse
+		var fa shard.MatchesResponse
 		postJSON(t, ts, "/query/findall", `{"query":"ACDEFGHIKLMNPQRS","eps":6}`, &fa)
 	}
-	var st statsResponse
+	var st serve.StatsResponse
 	if code := getJSON(t, ts, "/stats", &st); code != http.StatusOK {
 		t.Fatalf("stats status %d", code)
 	}
@@ -294,17 +296,17 @@ func TestServeAdminLifecycle(t *testing.T) {
 	novel := strings.Repeat("WYWYAC", 4)
 	q := fmt.Sprintf("%q", novel[:14])
 
-	var before matchesResponse
+	var before shard.MatchesResponse
 	postJSON(t, ts, "/query/findall", `{"query":`+q+`,"eps":1}`, &before)
 
-	var ar appendResponse
+	var ar serve.AppendResponse
 	if code := postJSON(t, ts, "/admin/append", fmt.Sprintf(`{"sequence":%q}`, novel), &ar); code != http.StatusOK {
 		t.Fatalf("append status %d", code)
 	}
 	if ar.WindowsAdded != len(novel)/6 {
 		t.Fatalf("append added %d windows, want %d", ar.WindowsAdded, len(novel)/6)
 	}
-	var after matchesResponse
+	var after shard.MatchesResponse
 	postJSON(t, ts, "/query/findall", `{"query":`+q+`,"eps":1}`, &after)
 	found := false
 	for _, m := range after.Matches {
@@ -319,7 +321,7 @@ func TestServeAdminLifecycle(t *testing.T) {
 
 	// Snapshot while the appended sequence is live.
 	snap := filepath.Join(t.TempDir(), "live.snap")
-	var sr snapshotResponse
+	var sr serve.SnapshotResponse
 	if code := postJSON(t, ts, "/admin/snapshot", fmt.Sprintf(`{"path":%q}`, snap), &sr); code != http.StatusOK {
 		t.Fatalf("snapshot status %d", code)
 	}
@@ -327,21 +329,21 @@ func TestServeAdminLifecycle(t *testing.T) {
 		t.Fatalf("snapshot reported %d bytes", sr.Bytes)
 	}
 
-	var rr retireResponse
+	var rr serve.RetireResponse
 	if code := postJSON(t, ts, "/admin/retire", fmt.Sprintf(`{"seq_id":%d}`, ar.SeqID), &rr); code != http.StatusOK {
 		t.Fatalf("retire status %d", code)
 	}
 	if rr.WindowsRemoved != ar.WindowsAdded {
 		t.Fatalf("retire removed %d windows, appended %d", rr.WindowsRemoved, ar.WindowsAdded)
 	}
-	var gone matchesResponse
+	var gone shard.MatchesResponse
 	postJSON(t, ts, "/query/findall", `{"query":`+q+`,"eps":1}`, &gone)
 	for _, m := range gone.Matches {
 		if m.SeqID == ar.SeqID {
 			t.Fatalf("retired sequence %d still matches", ar.SeqID)
 		}
 	}
-	var er errorResponse
+	var er shard.ErrorResponse
 	if code := postJSON(t, ts, "/admin/retire", fmt.Sprintf(`{"seq_id":%d}`, ar.SeqID), &er); code != http.StatusBadRequest {
 		t.Fatalf("double retire status %d, want 400", code)
 	}
@@ -358,10 +360,10 @@ func TestServeAdminLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts2 := httptest.NewServer(qs2.handler())
-	defer func() { ts2.Close(); qs2.close() }()
+	ts2 := httptest.NewServer(qs2.Handler())
+	defer func() { ts2.Close(); qs2.Close() }()
 
-	var restoredMatches matchesResponse
+	var restoredMatches shard.MatchesResponse
 	postJSON(t, ts2, "/query/findall", `{"query":`+q+`,"eps":1}`, &restoredMatches)
 	if restoredMatches.Count != after.Count {
 		t.Fatalf("restored server finds %d matches, original found %d", restoredMatches.Count, after.Count)
@@ -371,7 +373,7 @@ func TestServeAdminLifecycle(t *testing.T) {
 			t.Fatalf("restored match %d = %+v, original %+v", i, restoredMatches.Matches[i], after.Matches[i])
 		}
 	}
-	var st2 statsResponse
+	var st2 serve.StatsResponse
 	getJSON(t, ts2, "/stats", &st2)
 	if !st2.Store.Restored {
 		t.Fatal("/stats does not report restored=true")
@@ -408,7 +410,7 @@ func TestServeAdminValidation(t *testing.T) {
 		{"/admin/snapshot", `{}`},                               // missing path
 	}
 	for _, c := range cases {
-		var er errorResponse
+		var er shard.ErrorResponse
 		if code := postJSON(t, ts, c.path, c.body, &er); code != http.StatusBadRequest {
 			t.Errorf("POST %s %s: status %d, want 400", c.path, c.body, code)
 		} else if er.Error == "" {
@@ -417,7 +419,7 @@ func TestServeAdminValidation(t *testing.T) {
 	}
 	// The cover tree has no deletion: retire is a 409 capability conflict.
 	tc, _ := newTestServer(t, "proteins", "levenshtein-fast", "covertree")
-	var er errorResponse
+	var er shard.ErrorResponse
 	if code := postJSON(t, tc, "/admin/retire", `{"seq_id":0}`, &er); code != http.StatusConflict {
 		t.Errorf("covertree retire status %d, want 409", code)
 	}
@@ -468,7 +470,7 @@ func TestServeShedsWith429UnderSlam(t *testing.T) {
 	if ok.Load() == 0 || shed.Load() == 0 {
 		t.Fatalf("slam produced %d ok, %d shed; want both > 0", ok.Load(), shed.Load())
 	}
-	var st statsResponse
+	var st serve.StatsResponse
 	getJSON(t, ts, "/stats", &st)
 	if st.Stream.Shed != shed.Load() {
 		t.Fatalf("/stats shed = %d, clients saw %d", st.Stream.Shed, shed.Load())
@@ -490,7 +492,7 @@ func TestServeRequestTimeout504(t *testing.T) {
 		Workers:     1, QueueDepth: 4, RequestTimeout: time.Nanosecond,
 	}
 	ts, _ := newTestServerSpec(t, spec, "")
-	var er errorResponse
+	var er shard.ErrorResponse
 	if code := postJSON(t, ts, "/query/findall", `{"query":"ACDEFGHIKLMNPQRS","eps":2}`, &er); code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", code)
 	}
@@ -527,7 +529,7 @@ func TestServeSnapshotInterval(t *testing.T) {
 	ts, _ := newTestServerSpec(t, spec, "")
 
 	deadline := time.Now().Add(5 * time.Second)
-	var st statsResponse
+	var st serve.StatsResponse
 	for {
 		getJSON(t, ts, "/stats", &st)
 		if st.Snapshots != nil && st.Snapshots.Snapshots >= 1 {
@@ -543,16 +545,16 @@ func TestServeSnapshotInterval(t *testing.T) {
 	}
 
 	q := `{"query":"ACDEFGHIKLMNPQRS","eps":4}`
-	var want matchesResponse
+	var want shard.MatchesResponse
 	postJSON(t, ts, "/query/findall", q, &want)
 
 	ts2, qs2 := newTestServerSpec(t, registry.ServerSpec{
 		SessionSpec: spec.SessionSpec, Workers: 2, QueueDepth: 16,
 	}, snap)
-	if !qs2.wasRestored() {
+	if !qs2.Restored() {
 		t.Fatal("background snapshot did not restore")
 	}
-	var got matchesResponse
+	var got shard.MatchesResponse
 	postJSON(t, ts2, "/query/findall", q, &got)
 	if got.Count != want.Count {
 		t.Fatalf("restored server finds %d matches, original %d", got.Count, want.Count)
@@ -582,7 +584,7 @@ func TestServeQuarantinesCorruptRestore(t *testing.T) {
 	}
 
 	ts, qs := newTestServerSpec(t, registry.ServerSpec{SessionSpec: spec, Workers: 2, QueueDepth: 16}, snap)
-	if qs.wasRestored() {
+	if qs.Restored() {
 		t.Fatal("corrupt snapshot reported as restored")
 	}
 	if _, err := os.Stat(snap + ".corrupt"); err != nil {
@@ -592,11 +594,11 @@ func TestServeQuarantinesCorruptRestore(t *testing.T) {
 		t.Fatalf("corrupt snapshot still in place: %v", err)
 	}
 	// The rebuilt server answers queries.
-	var fa matchesResponse
+	var fa shard.MatchesResponse
 	if code := postJSON(t, ts, "/query/findall", `{"query":"ACDEFGHIKLMNPQRS","eps":4}`, &fa); code != http.StatusOK {
 		t.Fatalf("rebuilt server findall status %d", code)
 	}
-	var sr statsResponse
+	var sr serve.StatsResponse
 	getJSON(t, ts, "/stats", &sr)
 	if sr.Store.Restored {
 		t.Fatal("/stats claims restored=true after a quarantined rebuild")
@@ -689,7 +691,7 @@ func TestServeSmokeBinary(t *testing.T) {
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var st statsResponse
+	var st serve.StatsResponse
 	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatalf("/stats: invalid JSON %q: %v", raw, err)
 	}
@@ -833,7 +835,7 @@ func TestSnapshotSmokeBinary(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("findall status %d", code)
 	}
-	var fa matchesResponse
+	var fa shard.MatchesResponse
 	if err := json.Unmarshal(wantAnswer, &fa); err != nil || fa.Count == 0 {
 		t.Fatalf("findall found nothing for the appended sequence: %s (%v)", wantAnswer, err)
 	}
@@ -862,7 +864,7 @@ func TestSnapshotSmokeBinary(t *testing.T) {
 	}
 	raw, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var st statsResponse
+	var st serve.StatsResponse
 	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatalf("/stats: invalid JSON %q: %v", raw, err)
 	}

@@ -31,10 +31,9 @@ type session interface {
 	distanceSample(samples int) []float64
 	runQuery(opts queryOpts) (string, error)
 	// newServer builds the long-lived serving state behind `subseqctl
-	// serve` (see serve.go): the live store, streaming pool and HTTP
-	// handlers. A non-empty restore path restores the store from a
-	// snapshot (validated against this session's spec) instead of
-	// indexing the generated dataset.
+	// serve`: the live store, answered by internal/serve. A non-empty
+	// restore path restores the store from a snapshot (validated against
+	// this session's spec) instead of indexing the generated dataset.
 	newServer(spec registry.ServerSpec, restore string) (queryServer, error)
 }
 
@@ -106,7 +105,7 @@ func buildSession[E any](spec registry.SessionSpec) (session, error) {
 		// derives the same logical whole and keeps only its slice of whole
 		// sequences. Matches never span sequences, which is what makes the
 		// scatter-gather merge exact (see internal/shard). Wire-level
-		// sequence IDs are re-based by ShardLo in serve.go, so shards
+		// sequence IDs are re-based by ShardLo in internal/serve, so shards
 		// report global numbering.
 		if spec.ShardHi > len(ds.Sequences) {
 			return nil, fmt.Errorf("shard range [%d,%d) exceeds the dataset's %d sequences (windows=%d at windowlen=%d generates %d sequences)",

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/seq"
 	"repro/internal/shard"
-	"repro/internal/store"
 )
 
 // Cache storm: a replicated gateway with the result cache enabled takes
@@ -39,93 +37,6 @@ import (
 // futures, cache and flight counters consistent with each other and
 // with the query counter, the epoch equal to the write count, and the
 // killed replica's breaker closed again.
-
-// mutableShard is a shard replica over a live store.Store: findall runs
-// under the store's read guard, and the admin surface applies the
-// gateway's write fan-out (append allocating the next global ID, retire
-// by global ID) — the protocol slice a cache-invalidation storm needs.
-func mutableShard(t *testing.T, seqs []seq.Sequence[byte], base int) http.Handler {
-	t.Helper()
-	st, err := store.New(dist.LevenshteinFastMeasure(), core.Config{
-		Params: core.Params{Lambda: 40, Lambda0: 1},
-	}, seqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeErr := func(w http.ResponseWriter, status int, err error) {
-		w.WriteHeader(status)
-		json.NewEncoder(w).Encode(shard.ErrorResponse{Error: err.Error()})
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query/findall", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Query string  `json:"query"`
-			Eps   float64 `json:"eps"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		mt, release := st.View()
-		ms := mt.FindAll(seq.Sequence[byte](req.Query), req.Eps)
-		release()
-		out := shard.MatchesResponse{Count: len(ms), Matches: make([]shard.Match, len(ms))}
-		for i, m := range ms {
-			out.Matches[i] = shard.Match{
-				SeqID: m.SeqID + base, QStart: m.QStart, QEnd: m.QEnd,
-				XStart: m.XStart, XEnd: m.XEnd, Dist: m.Dist,
-			}
-		}
-		json.NewEncoder(w).Encode(out)
-	})
-	mux.HandleFunc("POST /admin/append", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Sequence string `json:"sequence"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		res, err := st.Append(seq.Sequence[byte](req.Sequence))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		json.NewEncoder(w).Encode(map[string]any{
-			"seq_id": res.SeqID + base, "windows_added": res.Windows,
-		})
-	})
-	mux.HandleFunc("POST /admin/retire", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			SeqID *int `json:"seq_id"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.SeqID == nil {
-			writeErr(w, http.StatusBadRequest, errors.New(`"seq_id" is required`))
-			return
-		}
-		if *req.SeqID < base {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("seq_id %d below shard base %d", *req.SeqID, base))
-			return
-		}
-		removed, err := st.Retire(*req.SeqID - base)
-		switch {
-		case errors.Is(err, core.ErrRetireUnsupported):
-			writeErr(w, http.StatusConflict, err)
-			return
-		case err != nil:
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		json.NewEncoder(w).Encode(map[string]any{"seq_id": *req.SeqID, "windows_removed": removed})
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("{}\n"))
-	})
-	return mux
-}
 
 func TestChaosCacheStorm(t *testing.T) {
 	rng := NewRand(t, 17)
@@ -187,7 +98,7 @@ func TestChaosCacheStorm(t *testing.T) {
 	groups := make([][]string, len(plan.Ranges))
 	for i, r := range plan.Ranges {
 		for j := 0; j < replicasPerRange; j++ {
-			p, err := startReplica(mutableShard(t, ds.Sequences[r.Lo:r.Hi], r.Lo))
+			p, err := startReplica(shardHandler(t, ds.Sequences[r.Lo:r.Hi], r.Lo))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,10 @@ import (
 	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/seq"
+	"repro/internal/serve"
 	"repro/internal/shard"
+	"repro/internal/store"
+	"repro/registry"
 )
 
 // Shard kill: a scatter-gather gateway loses one whole shard process
@@ -22,53 +25,28 @@ import (
 // shard dies and how the fleet is partitioned comes from the suite seed
 // (CHAOS_SEED), like every other schedule in this package.
 
-// shardServer is a minimal serve process for one slice of the database:
-// it answers POST /query/findall in the serving tier's wire format, with
-// sequence IDs re-based to the slice's global range — just enough
-// protocol for a gateway to treat it as a real shard.
-func shardServer(t *testing.T, seqs []seq.Sequence[byte], base int) *httptest.Server {
-	t.Helper()
-	ts := httptest.NewServer(shardHandler(t, seqs, base))
-	t.Cleanup(ts.Close)
-	return ts
-}
-
-// shardHandler builds the shard protocol handler alone, so scenarios
-// that need to kill and resurrect a replica on a fixed address (the
-// replica-kill scenario) can rebind it to fresh listeners.
+// shardHandler is one shard process for a slice of the database: the
+// real serve handler over a live store holding sequences
+// [base, base+len(seqs)) of the logical index, re-basing sequence IDs to
+// that global range. It returns the handler alone, so scenarios that
+// kill and resurrect a replica on a fixed address (the replica-kill
+// scenario) can rebind it to fresh listeners.
 func shardHandler(t *testing.T, seqs []seq.Sequence[byte], base int) http.Handler {
 	t.Helper()
-	mt, err := core.NewMatcher(dist.LevenshteinFastMeasure(), core.Config{
+	st, err := store.New(dist.LevenshteinFastMeasure(), core.Config{
 		Params: core.Params{Lambda: 40, Lambda0: 1},
 	}, seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query/findall", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Query string  `json:"query"`
-			Eps   float64 `json:"eps"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			w.WriteHeader(http.StatusBadRequest)
-			json.NewEncoder(w).Encode(shard.ErrorResponse{Error: err.Error()})
-			return
-		}
-		ms := mt.FindAll(seq.Sequence[byte](req.Query), req.Eps)
-		out := shard.MatchesResponse{Count: len(ms), Matches: make([]shard.Match, len(ms))}
-		for i, m := range ms {
-			out.Matches[i] = shard.Match{
-				SeqID: m.SeqID + base, QStart: m.QStart, QEnd: m.QEnd,
-				XStart: m.XStart, XEnd: m.XEnd, Dist: m.Dist,
-			}
-		}
-		json.NewEncoder(w).Encode(out)
-	})
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("ok\n"))
-	})
-	return mux
+	srv, err := serve.New(st, registry.ServerSpec{SessionSpec: registry.SessionSpec{
+		Dataset: "proteins", Measure: "levenshtein-fast", ShardLo: base, ShardHi: base + len(seqs),
+	}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return srv.Handler()
 }
 
 func TestChaosShardKill(t *testing.T) {
@@ -106,7 +84,8 @@ func TestChaosShardKill(t *testing.T) {
 	servers := make([]*httptest.Server, len(plan.Ranges))
 	urls := make([]string, len(plan.Ranges))
 	for i, r := range plan.Ranges {
-		servers[i] = shardServer(t, ds.Sequences[r.Lo:r.Hi], r.Lo)
+		servers[i] = httptest.NewServer(shardHandler(t, ds.Sequences[r.Lo:r.Hi], r.Lo))
+		t.Cleanup(servers[i].Close)
 		urls[i] = servers[i].URL
 	}
 	gw, err := shard.NewGateway(plan, urls)

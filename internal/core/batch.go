@@ -46,8 +46,6 @@ func (mt *Matcher[E]) FilterHitsBatch(qs []seq.Sequence[E], eps float64) [][]Hit
 	// cache-sized groups.
 	sc := mt.getScratch()
 	defer mt.putScratch(sc)
-	bre, kernel := mt.index.(batchRangerEval[E])
-	kernel = kernel && mt.kernelTraversal()
 	probeCap := maxBatchProbesFor(mt.index.Len())
 	lambda, lambda0 := mt.cfg.Params.Lambda, mt.cfg.Params.Lambda0
 	for lo := 0; lo < len(qs); {
@@ -59,28 +57,7 @@ func (mt *Matcher[E]) FilterHitsBatch(qs []seq.Sequence[E], eps float64) [][]Hit
 			starts = append(starts, len(sc.segs))
 			hi++
 		}
-		sc.probes = sc.probes[:0]
-		for _, s := range sc.segs {
-			sc.probes = append(sc.probes, seq.Window[E]{SeqID: -1, Start: s.Start, Data: s.Data})
-		}
-		var results [][]seq.Window[E]
-		if kernel {
-			// Kernel-fed traversal: group probes by (query, start offset)
-			// so one streamed kernel pass prices all 2λ0+1 lengths at an
-			// offset. Group keys only need to be distinct, so queries
-			// partition the key space by their segment-start ranges.
-			sc.keval.bind(mt, sc.probes)
-			gbase := int32(0)
-			for i := lo; i < hi; i++ {
-				for si := starts[i-lo]; si < starts[i-lo+1]; si++ {
-					sc.keval.groupOf[si] = gbase + int32(sc.segs[si].Start)
-				}
-				gbase += int32(len(qs[i]))
-			}
-			results = bre.BatchRangeEval(sc.probes, eps, &sc.keval)
-		} else {
-			results = br.BatchRange(sc.probes, eps)
-		}
+		results := mt.rangeSegments(br, qs[lo:hi], starts, eps, sc)
 		for i := lo; i < hi; i++ {
 			var hits []Hit[E]
 			for si := starts[i-lo]; si < starts[i-lo+1]; si++ {
@@ -93,6 +70,34 @@ func (mt *Matcher[E]) FilterHitsBatch(qs []seq.Sequence[E], eps float64) [][]Hit
 		lo = hi
 	}
 	return out
+}
+
+// rangeSegments is the filter traversal shared by FilterHits and
+// FilterHitsBatch: one range query over the index for every segment in
+// sc.segs, where query qs[i]'s segments are sc.segs[starts[i]:starts[i+1]].
+// Result j holds the windows within eps of segment j.
+func (mt *Matcher[E]) rangeSegments(br batchRanger[E], qs []seq.Sequence[E], starts []int, eps float64, sc *filterScratch[E]) [][]seq.Window[E] {
+	sc.probes = sc.probes[:0]
+	for _, s := range sc.segs {
+		sc.probes = append(sc.probes, seq.Window[E]{SeqID: -1, Start: s.Start, Data: s.Data})
+	}
+	bre, ok := mt.index.(batchRangerEval[E])
+	if !ok || !mt.kernelTraversal() {
+		return br.BatchRange(sc.probes, eps)
+	}
+	// Kernel-fed traversal: group probes by (query, start offset) so one
+	// streamed kernel pass prices all 2λ0+1 lengths at an offset. Group
+	// keys only need to be distinct, so queries partition the key space by
+	// their segment-start ranges.
+	sc.keval.bind(mt, sc.probes)
+	gbase := int32(0)
+	for i, q := range qs {
+		for si := starts[i]; si < starts[i+1]; si++ {
+			sc.keval.groupOf[si] = gbase + int32(sc.segs[si].Start)
+		}
+		gbase += int32(len(q))
+	}
+	return bre.BatchRangeEval(sc.probes, eps, &sc.keval)
 }
 
 // maxBatchProbes and minBatchProbes are the ceiling and floor of the

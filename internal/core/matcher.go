@@ -307,23 +307,9 @@ func (mt *Matcher[E]) filterHits(q seq.Sequence[E], eps float64, sc *filterScrat
 		return mt.filterHitsIncremental(q, eps, sc)
 	}
 	if br, ok := mt.index.(batchRanger[E]); ok {
-		sc.probes = sc.probes[:0]
-		for _, s := range segs {
-			sc.probes = append(sc.probes, seq.Window[E]{SeqID: -1, Start: s.Start, Data: s.Data})
-		}
-		var results [][]seq.Window[E]
-		if bre, ok := mt.index.(batchRangerEval[E]); ok && mt.kernelTraversal() {
-			// Kernel-fed traversal: probes sharing a start offset are
-			// priced by one streamed kernel pass per visited node.
-			sc.keval.bind(mt, sc.probes)
-			for i, s := range segs {
-				sc.keval.groupOf[i] = int32(s.Start)
-			}
-			results = bre.BatchRangeEval(sc.probes, eps, &sc.keval)
-		} else {
-			results = br.BatchRange(sc.probes, eps)
-		}
-		for i, wins := range results {
+		one := [1]seq.Sequence[E]{q}
+		bounds := [2]int{0, len(segs)}
+		for i, wins := range mt.rangeSegments(br, one[:], bounds[:], eps, sc) {
 			for _, w := range wins {
 				sc.hits = append(sc.hits, Hit[E]{Window: w, Segment: segs[i]})
 			}

@@ -48,7 +48,7 @@ const adminFanoutTimeout = 30 * time.Second
 func (g *Gateway) handleAdminAppend(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	plan := g.Plan()
@@ -92,13 +92,13 @@ func (g *Gateway) handleAdminAppend(w http.ResponseWriter, r *http.Request) {
 	resp.Range = &rng
 	resp.Epoch, resp.Invalidated = g.bumpEpoch()
 	g.writes.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (g *Gateway) handleAdminRetire(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Peek at seq_id to route; the body is still forwarded verbatim so
@@ -107,11 +107,11 @@ func (g *Gateway) handleAdminRetire(w http.ResponseWriter, r *http.Request) {
 		SeqID *int `json:"seq_id"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid retire request: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid retire request: %w", err))
 		return
 	}
 	if req.SeqID == nil {
-		writeError(w, http.StatusBadRequest, errors.New(`"seq_id" is required`))
+		WriteError(w, http.StatusBadRequest, errors.New(`"seq_id" is required`))
 		return
 	}
 	plan := g.Plan()
@@ -123,7 +123,7 @@ func (g *Gateway) handleAdminRetire(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if ri < 0 {
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("seq_id %d is outside every shard range (plan has %d sequences)", *req.SeqID, plan.Seqs))
 		return
 	}
@@ -140,24 +140,24 @@ func (g *Gateway) handleAdminRetire(w http.ResponseWriter, r *http.Request) {
 		Acks: acks, Replicas: len(results), Quorum: 2*acks > len(results), Results: results}
 	resp.Epoch, resp.Invalidated = g.bumpEpoch()
 	g.writes.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (g *Gateway) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	var req struct {
 		Path string `json:"path"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid snapshot request: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid snapshot request: %w", err))
 		return
 	}
 	if strings.TrimSpace(req.Path) == "" {
-		writeError(w, http.StatusBadRequest, errors.New(`"path" is required`))
+		WriteError(w, http.StatusBadRequest, errors.New(`"path" is required`))
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), adminFanoutTimeout)
@@ -185,7 +185,7 @@ func (g *Gateway) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Snapshots mutate nothing: the epoch is reported, not bumped.
-	writeJSON(w, http.StatusOK, AdminFanoutResponse{Op: "snapshot", Acks: acks,
+	WriteJSON(w, http.StatusOK, AdminFanoutResponse{Op: "snapshot", Acks: acks,
 		Replicas: len(all), Quorum: 2*acks > len(all), Epoch: g.epoch.Load(), Results: all})
 }
 
@@ -252,7 +252,7 @@ func writeAdminFailure(w http.ResponseWriter, op string, results []AdminReplicaR
 			msgs[i] = fmt.Sprintf("replica %d (%s): %s", res.Replica, res.Addr, res.Error)
 		}
 	}
-	writeError(w, http.StatusBadGateway,
+	WriteError(w, http.StatusBadGateway,
 		fmt.Errorf("%s: no replica acknowledged the write: %s", op, strings.Join(msgs, "; ")))
 }
 

@@ -479,35 +479,6 @@ func classify[T any](g *Gateway, replies []rangeReply) (ok []*T, passThrough *sh
 
 // --- response plumbing ---
 
-// encodeJSON materialises a response body in the gateway's wire format
-// (indented, trailing newline — matching json.Encoder with indent).
-func encodeJSON(v any) []byte {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return []byte(`{"error":"encoding response"}` + "\n")
-	}
-	return append(b, '\n')
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	writeRaw(w, status, encodeJSON(v))
-}
-
-func writeRaw(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	if status == 0 {
-		// A flight that died without producing a result (leader panic).
-		status = http.StatusInternalServerError
-		body = encodeJSON(ErrorResponse{Error: "query flight aborted"})
-	}
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
-}
-
 // allFailed materialises the response for a query no range could
 // answer: the gateway has nothing to merge, so the request fails with
 // every failure named.
@@ -603,7 +574,7 @@ func gatherResult[T any](g *Gateway, ctx context.Context, path string, body []by
 func (g *Gateway) handleFindAll(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	g.queries.Add(1)
@@ -625,7 +596,7 @@ func (g *Gateway) handleFindAll(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleFilter(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	g.queries.Add(1)
@@ -647,7 +618,7 @@ func (g *Gateway) handleFilter(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleBest(w http.ResponseWriter, r *http.Request, kind string, best func([]*Match) *Match) {
 	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	g.queries.Add(1)
@@ -670,22 +641,22 @@ func (g *Gateway) handleBest(w http.ResponseWriter, r *http.Request, kind string
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Peek at the envelope to learn the kind and query count; the body is
 	// still forwarded verbatim so shards do their own full validation.
 	var req BatchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid batch request: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid batch request: %w", err))
 		return
 	}
 	if !ValidBatchKind(req.Kind) {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("batch kind must be findall, longest or filter, got %q", req.Kind))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("batch kind must be findall, longest or filter, got %q", req.Kind))
 		return
 	}
 	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New(`"queries" must be non-empty`))
+		WriteError(w, http.StatusBadRequest, errors.New(`"queries" must be non-empty`))
 		return
 	}
 	n := len(req.Queries)
@@ -930,7 +901,7 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	if len(failures) > 0 {
 		resp.Degradation = &Degradation{Degraded: true, Failures: failures}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleHealthz live-probes every replica of every range (feeding the
@@ -955,5 +926,5 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !resp.OK {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }

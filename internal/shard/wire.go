@@ -3,17 +3,18 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 )
 
-// Wire types shared by the shard serve processes and the scatter-gather
-// gateway. The field names and JSON tags mirror the single-node serving
-// tier's formats (cmd/subseqctl serve, documented in docs/SERVING.md)
-// exactly — the gateway speaks the same protocol downstream (to shards)
-// and upstream (to clients), so a client cannot tell a gateway from a
-// single node except by the optional "degradation" block. The query
-// payload itself stays a json.RawMessage throughout: the gateway is
-// element-agnostic and never decodes sequences, it only fans bodies out
-// and merges the typed result envelopes.
+// The serving tier's wire schema, defined once: internal/serve answers
+// with these types, the scatter-gather gateway decodes, merges and
+// re-encodes them, and docs/SERVING.md documents them. Because the
+// gateway speaks the same protocol downstream (to shards) and upstream
+// (to clients), a client cannot tell a gateway from a single node except
+// by the optional "degradation" block. The query payload itself stays a
+// json.RawMessage throughout: the gateway is element-agnostic and never
+// decodes sequences, it only fans bodies out and merges the typed result
+// envelopes. WriteJSON is the one response writer both sides share.
 
 // Match is one verified subsequence match (core.Match on the wire).
 type Match struct {
@@ -65,6 +66,42 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
+// --- Writing responses ---
+
+// encodeJSON materialises a response body in the wire format: indented
+// two spaces, HTML-escaped, with a trailing newline. perfbench sizes the
+// gateway cache budget from these bytes, so the format is pinned
+// (TestServeWireGolden in cmd/subseqctl).
+func encodeJSON(v any) []byte {
+	b, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return []byte(`{"error":"encoding response"}` + "\n")
+	}
+	return append(b, '\n')
+}
+
+// WriteJSON answers with v encoded in the wire format.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	writeRaw(w, status, encodeJSON(v))
+}
+
+// writeRaw answers with an already-encoded body; status 0 marks a query
+// flight that died without producing a result (leader panic).
+func writeRaw(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	if status == 0 {
+		status = http.StatusInternalServerError
+		body = encodeJSON(ErrorResponse{Error: "query flight aborted"})
+	}
+	w.WriteHeader(status)
+	w.Write(body)
+}
+
+// WriteError answers with err in the error envelope.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, ErrorResponse{Error: err.Error()})
+}
+
 // BatchRequest is the body of POST /query/batch: many queries of one
 // kind, answered by a single FilterHitsBatch/FindAllBatch/LongestBatch
 // traversal on each serving process. Queries stay raw — the serve
@@ -111,7 +148,7 @@ func ValidBatchKind(kind string) bool {
 
 // AdminReplicaResult is one replica's outcome in a gateway write
 // fan-out. Response carries the replica's own answer verbatim (the
-// single-node appendResponse/retireResponse/snapshotResponse); Path is
+// single-node serve.AppendResponse/RetireResponse/SnapshotResponse); Path is
 // set for snapshots (the per-replica target the gateway substituted).
 type AdminReplicaResult struct {
 	Shard    int             `json:"shard"`
